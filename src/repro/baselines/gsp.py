@@ -87,7 +87,7 @@ def matches_extended(
     return bool(frontier)
 
 
-def join_candidates(frequent: list[Pattern]) -> list[Pattern]:
+def gsp_join(frequent: list[Pattern]) -> list[Pattern]:
     """GSP join: ``a + b[-1]`` for frequent ``a``, ``b`` with
     ``a[1:] == b[:-1]`` (complete under gap constraints; see module doc)."""
     by_prefix: dict[Pattern, list[Pattern]] = {}
@@ -253,7 +253,7 @@ class GspAlgorithm:
 
         length = 3
         while frequent and length <= self.params.lam:
-            candidates = join_candidates(frequent)
+            candidates = gsp_join(frequent)
             if not candidates:
                 break
             job = GspCountJob(vocabulary, self.params, candidates)

@@ -27,6 +27,9 @@ A subclass provides the storage primitives:
     ascending indexes enumerate "most frequent first".
 ``_postings_for(item_id)``
     Ascending indexes of patterns containing the item.
+``_positional_postings_for(item_id)``
+    Parallel ``(pattern indexes, per-pattern position tuples)``: the
+    postings of one item plus the positions it occupies in each pattern.
 ``_length_groups()``
     Mapping ``pattern length -> ascending indexes``.
 
@@ -39,13 +42,12 @@ merging the streams of its member stores without re-implementing any of
 the matching or ranking logic.
 
 Search itself runs through compiled :class:`~repro.query.plan.QueryPlan`
-objects (cached per backend): backends exposing positional postings
-(``_has_positions()``) answer chain queries exactly with bitmap algebra
-and skip the DP entirely; backends without positions still prune
-candidates with the plan's postings bitset and verify survivors with the
-DP, so every path returns byte-identical answers.  Setting
-``_accelerate = False`` restores the legacy selector + DP pipeline — the
-reference the differential tests and benchmarks compare against.
+objects (cached per backend): every backend exposes positional
+postings, so chain queries are answered exactly with bitmap algebra
+(``exact``), by a postings-bitset mask whose survivors the DP verifies
+(``pruned``), or by a length-filtered scan the DP verifies (``scan``);
+the plan's cost estimate picks one, and every path returns
+byte-identical answers.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, UnknownItemError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.cost import PLAN_ORDERS, PLAN_STRATEGIES, CostEstimate
 from repro.query.plan import QueryPlan, iter_bit_indexes
@@ -137,7 +139,6 @@ class PatternSearchBase:
         # a backend instance is an immutable snapshot of one store
         self._cost_stat_cache: dict[tuple, object] = {}
         # per-backend plan machinery
-        self._accelerate = True
         self._plan_lock = threading.Lock()
         self._plan_cache: OrderedDict[tuple, QueryPlan] = OrderedDict()
         self._plan_hits = 0
@@ -148,7 +149,6 @@ class PatternSearchBase:
             "pruned": 0,
             "scan": 0,
             "wildcard": 0,
-            "legacy": 0,
         }
         # planner knobs: candidate-mask node ordering and a forced
         # execution strategy (None = the cost estimate decides); both
@@ -182,18 +182,10 @@ class PatternSearchBase:
     def _length_groups(self) -> dict[int, Sequence[int]]:
         raise NotImplementedError
 
-    def _has_positions(self) -> bool:
-        """Whether :meth:`_positional_postings_for` is available.  False
-        for backends over version-1 store files — they still get bitset
-        candidate pruning, just not exact positional matching."""
-        return False
-
     def _positional_postings_for(
         self, item_id: int
-    ) -> tuple[Sequence[int], Sequence[tuple[int, ...]]] | None:
-        """Parallel ``(pattern indexes, per-pattern position tuples)``
-        for one item, or ``None`` when the backend has no positions."""
-        return None
+    ) -> tuple[Sequence[int], Sequence[tuple[int, ...]]]:
+        raise NotImplementedError
 
     def _postings_size_estimate(self, item_id: int) -> int:
         """Estimated postings-list length for one item — the planner's
@@ -221,7 +213,7 @@ class PatternSearchBase:
     def __contains__(self, names: object) -> bool:
         try:
             coded = self.vocabulary.encode_sequence(tuple(names))  # type: ignore[arg-type]
-        except Exception:
+        except UnknownItemError:
             return False
         return self._find_coded(coded) is not None
 
@@ -229,7 +221,7 @@ class PatternSearchBase:
         """Mined frequency of an exact pattern; 0 when absent."""
         try:
             coded = self.vocabulary.encode_sequence(names)
-        except Exception:
+        except UnknownItemError:
             return 0
         found = self._find_coded(coded)
         return 0 if found is None else found
@@ -394,16 +386,14 @@ class PatternSearchBase:
         queries the plan's cost estimate picks a strategy —
         ``exact`` (positional bitmap propagation, no DP), ``pruned``
         (AND the cheap chain nodes' postings bitsets, DP-verify
-        survivors; on positional backends the verified indexes are
-        retained on the plan) or ``scan`` (length-filtered scan + DP,
-        the union-vs-scan fallback for unselective chains); plans whose
-        chain constrains nothing fall back to the legacy selector.
-        Every path yields ascending pattern indexes — the rank order —
-        so the choice of path is invisible downstream.
+        survivors and retain the verified indexes on the plan) or
+        ``scan`` (length-filtered scan + DP, the union-vs-scan fallback
+        for unselective chains).  A ``pruned`` plan whose chain admits
+        no mask (negations only, or nodes admitting the whole
+        vocabulary) runs as ``scan``.  Every path yields ascending
+        pattern indexes — the rank order — so the choice of path is
+        invisible downstream.
         """
-        if not self._accelerate:
-            yield from self._iter_search_dp(compiled, self._candidates(compiled))
-            return
         plan = self._plan_for(compiled)
         if plan.unsatisfiable:
             return
@@ -418,31 +408,23 @@ class PatternSearchBase:
             for idx in plan.match_indexes(self):
                 yield self._pattern_at(idx)
             return
-        if strategy == "scan":
-            self._count_path("scan")
-            yield from self._iter_search_dp(
-                compiled, plan.length_scan_indexes(self)
-            )
-            return
-        mask = plan.candidate_mask(self)
-        if mask is None:
-            self._count_path("legacy")
-            yield from self._iter_search_dp(compiled, self._candidates(compiled))
-            return
-        self._count_path("pruned")
-        if self._has_positions():
-            # cost-routed around the exact path: few candidates, so
-            # verify once and retain on the plan — repeats stay as
-            # cheap as the exact path's retained match indexes
+        if strategy == "pruned" and plan.candidate_mask(self) is not None:
+            # few candidates: verify once and retain on the plan —
+            # repeats stay as cheap as the exact path's retained
+            # match indexes
+            self._count_path("pruned")
             for idx in plan.verified_indexes(self, compiled):
                 yield self._pattern_at(idx)
             return
-        yield from self._iter_search_dp(compiled, iter_bit_indexes(mask))
+        self._count_path("scan")
+        yield from self._iter_search_dp(
+            compiled, plan.length_scan_indexes(self)
+        )
 
     def _iter_search_dp(
         self, compiled: list[CompiledToken], indexes
     ) -> Iterator[tuple[Pattern, int]]:
-        """The verified path: run the reference DP over the given
+        """The verified path: run the DP matcher over the given
         ascending candidate indexes."""
         for idx in indexes:
             pattern, frequency = self._pattern_at(idx)
@@ -703,9 +685,8 @@ class PatternSearchBase:
         set covering exactly one hierarchy subtree is an ``under`` test
         rooted at its minimum id (ancestors always carry smaller ids
         than their descendants, so the root of any covered subtree must
-        be the set's minimum).  Both rewrites give `_candidates` a
-        directly-posted token and give plans a smaller chain node; the
-        admitted items are identical by construction."""
+        be the set's minimum).  Both rewrites give plans a smaller chain
+        node; the admitted items are identical by construction."""
         if not ids:
             return ("oneof", ids)
         root = min(ids)
@@ -765,7 +746,7 @@ class PatternSearchBase:
             elif kind == "notin":
                 # floor over a negation (!a@N): the floor turns the
                 # near-whole-vocabulary complement into a concrete
-                # id set, which also gives `_candidates` postings to
+                # id set, which also gives the plan's mask postings to
                 # prune on — unlike a bare negation
                 if token.floor == 0:
                     return ("notin", payload)
@@ -786,88 +767,6 @@ class PatternSearchBase:
         raise InvalidParameterError(
             f"unsupported query token {token!r}"
         )  # pragma: no cover - normalize_query guards this
-
-    def _candidates(self, compiled: list[CompiledToken]) -> list[int]:
-        """Candidate pattern indexes, ascending (= frequency-descending),
-        from the most selective *positive* concrete token's postings.
-        ``oneof`` tokens consume exactly one item from their id set, so
-        the union of those ids' postings is a complete candidate set —
-        an empty id set (an unsatisfiable floor) yields no candidates
-        at all.  ``notin`` tokens contribute **no** postings: their
-        complement is nearly the whole vocabulary, so unioning it would
-        degrade selection to a full scan while adding nothing — the
-        negation is enforced by the matcher, like gaps.
-
-        Single-item and subtree postings are sized up first; ``oneof``
-        unions (potentially the whole vocabulary, e.g. ``?@N``) run
-        last and abort as soon as they outgrow the best set so far —
-        the chosen candidate set is identical either way, only the
-        wasted union work goes.
-
-        A query with no positive concrete token (wildcard-only, or
-        all-negative like ``!a !^B``) falls back to scanning every
-        length group whose length the query can consume — negations
-        and ``?`` take exactly one item, ``*{m,n}`` between ``m`` and
-        ``n``.  The serving tier refuses all-negative queries for this
-        reason (:func:`~repro.query.tokens.is_negation_only`); embedded
-        callers accept the scan.
-        """
-        best: Sequence[int] | None = None
-        oneofs: list[frozenset[int]] = []
-        for kind, item in compiled:
-            if kind == "item":
-                postings = self._postings_for(item)
-            elif kind == "under":
-                merged: set[int] = set()
-                for descendant in self._descendants_or_self(item):
-                    merged.update(self._postings_for(descendant))
-                postings = sorted(merged)
-            elif kind == "oneof":
-                oneofs.append(item)
-                continue
-            else:
-                continue
-            if best is None or len(postings) < len(best):
-                best = postings
-        for ids in oneofs:
-            if ids and len(ids) == len(self.vocabulary) and best is not None:
-                continue  # unions to every pattern; cannot beat `best`
-            merged = set()
-            overflow = False
-            for member in ids:
-                merged.update(self._postings_for(member))
-                if best is not None and len(merged) >= len(best):
-                    overflow = True
-                    break
-            if not overflow:
-                best = sorted(merged)
-        if best is not None:
-            return list(best)
-        # no positive concrete token: filter by achievable lengths
-        min_len = 0
-        max_len: int | None = 0
-        for kind, payload in compiled:
-            if kind == "span":
-                max_len = None
-            elif kind == "plus":
-                min_len += 1
-                max_len = None
-            elif kind == "gap":
-                lower, upper = payload
-                min_len += lower
-                if upper is None:
-                    max_len = None
-                elif max_len is not None:
-                    max_len += upper
-            else:  # any / notin consume exactly one item
-                min_len += 1
-                if max_len is not None:
-                    max_len += 1
-        indexes: list[int] = []
-        for length, idxs in self._length_groups().items():
-            if length >= min_len and (max_len is None or length <= max_len):
-                indexes.extend(idxs)
-        return sorted(indexes)
 
     def _matches(
         self, compiled: list[CompiledToken], pattern: Pattern

@@ -5,11 +5,12 @@ pattern→frequency mapping plus its vocabulary), the index answers
 Netspeak-style queries (see :mod:`repro.query.tokens`), ranked by
 frequency.
 
-Search is accelerated by an inverted index from item id to the patterns
-containing it: the matcher only runs on the postings of the query's most
-selective concrete token.  ``^name`` tokens union the postings of the
-item's descendants; queries with no concrete token fall back to a
-length-filtered scan.
+Search runs over a positional inverted index: per item id, the
+patterns containing it and the positions it occupies in each.  Compiled
+query plans (:mod:`repro.query.plan`) turn those postings into bitmaps
+and answer chain queries exactly, prune candidates for the DP matcher,
+or fall back to a length-filtered scan, whichever the cost estimate
+prices cheapest.
 
 The matching machinery itself lives in
 :class:`~repro.query.base.PatternSearchBase` and is shared with the
@@ -88,9 +89,6 @@ class PatternIndex(PatternSearchBase):
 
     def _postings_for(self, item_id: int) -> Sequence[int]:
         return self._postings.get(item_id, ())
-
-    def _has_positions(self) -> bool:
-        return True
 
     def _positional_postings_for(self, item_id: int):
         return (

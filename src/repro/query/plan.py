@@ -22,13 +22,13 @@ into range predicates:
   a reachable-position bitmap through the chain and reading off which
   fields keep a live bit.
 
-The propagation computes exactly the reachable-set of the reference DP
+The propagation computes exactly the reachable-set of the DP matcher
 restricted to consuming tokens, so the surviving fields *are* the
-matches — no verification needed when positions are available.  Backends
-without positions (version-1 store files) still benefit from the plan's
-stage-1 **candidate mask** — the cheapest-first AND of the concrete
-chain nodes' postings bitsets — and drop the survivors into the DP, the
-verified fallback that keeps answers byte-identical by construction.
+matches — no verification needed.  The plan's stage-1 **candidate
+mask** — the cheapest-first AND of the concrete chain nodes' postings
+bitsets — serves the ``pruned`` strategy instead, whose survivors the DP
+verifies; the cost planner picks it when decoding a ubiquitous node's
+positions would cost more than verifying a rare node's few candidates.
 
 Plans hold per-backend bitmaps (pattern indexes are shard-local), so
 they are cached per backend instance; see
@@ -209,7 +209,7 @@ class QueryPlan:
     Construction resolves the chain/window structure and the admissible
     id tuples (``under`` expands through the backend's memoized
     descendant sets).  The per-backend bitmaps — stage-1 candidate mask
-    and, when positions exist, the final match-index list — build
+    and the final match-index list — build
     lazily on first execution and are retained, so a cached plan
     answers repeats (different σ, different limits) with no bitmap work
     at all.
@@ -321,24 +321,21 @@ class QueryPlan:
     def strategy(self, backend) -> str:
         """Execution strategy for a chain query: the estimate's pick,
         unless the backend forces one (``_plan_strategy``, a test and
-        benchmark hook).  ``exact`` silently degrades to ``pruned``
-        when the backend has no positions — every strategy answers
-        identically, only the work profile differs."""
+        benchmark hook) — every strategy answers identically, only the
+        work profile differs."""
         chosen = self._strategy
         if chosen is None:
             forced = getattr(backend, "_plan_strategy", None)
             chosen = forced if forced is not None else self.estimate(
                 backend
             ).strategy
-            if chosen == "exact" and not backend._has_positions():
-                chosen = "pruned"
             self._strategy = chosen
         return chosen
 
     def verified_indexes(self, backend, compiled) -> list[int]:
         """Ascending match indexes via mask-prune + DP-verify, retained
-        on the plan.  The cost planner routes skewed queries here *on
-        positional backends* — DP-verifying a rare node's few candidates
+        on the plan.  The cost planner routes skewed queries here —
+        DP-verifying a rare node's few candidates
         beats decoding a ubiquitous node's every occurrence into the
         exact path's bitmaps — and memoizing keeps the steady-state
         profile as flat as the exact path's retained match indexes."""
@@ -367,7 +364,7 @@ class QueryPlan:
         :func:`~repro.query.cost.order_mask_nodes`).  ``None`` when no
         chain node restricts candidates (all-negative queries, or nodes
         admitting the whole vocabulary) — the caller falls back to a
-        length-filtered scan, exactly like the legacy selector."""
+        length-filtered scan."""
         if self._mask_ready:
             return self._mask
         with self._lock:

@@ -12,10 +12,13 @@ One store *file* (written by :mod:`repro.serve.writer`, read by
     [pat_offs]  (n_patterns+1) × u64, relative to [patterns]  fixed
     [patterns]  per pattern: frequency + zigzag-delta items   varint
     [post_offs] (n_items+1) × u64, relative to [postings]     fixed
-    [postings]  per item: ascending pattern indexes, gap-coded;
-                version >= 2 interleaves each index with the
-                gap-coded positions of the item in that pattern
+    [postings]  per item: ascending pattern indexes, gap-coded,
+                each followed by the gap-coded positions of the
+                item in that pattern
     [checksums] 6 × u32 CRC-32, one per section               optional
+
+The header's version must equal :data:`VERSION`; readers reject any
+other version with a hint to rebuild the store.
 
 The trailing checksum section exists iff :data:`FLAG_CHECKSUMS` is set
 in the header flags; the section table's final offset always marks the
@@ -42,17 +45,11 @@ from repro.errors import EncodingError, StoreCorruptError
 from repro.mapreduce.engine import stable_hash
 
 MAGIC = b"RPROPST1"
-#: current store version, the one every writer emits.  Version 2 added
-#: positional postings: each ``(item, pattern index)`` entry carries the
-#: gap-coded positions the item occupies inside the pattern, feeding the
-#: compiled-query-plan accelerator.  Version-1 files (index-only
-#: postings) still open read-only; ``lash index compact`` or ``lash
-#: index merge`` rewrites them to the current version.
+#: the store version every writer emits and the only one readers
+#: accept.  Each ``(item, pattern index)`` postings entry carries the
+#: gap-coded positions the item occupies inside the pattern, feeding
+#: the compiled query plans' exact matcher.
 VERSION = 2
-#: the positional-postings encoding starts at this version
-VERSION_POSITIONAL = 2
-#: versions readers accept
-SUPPORTED_VERSIONS = (1, 2)
 
 #: header flag: a 6 × u32 CRC-32 section trails the postings
 FLAG_CHECKSUMS = 0x1
@@ -275,8 +272,6 @@ def verify_delta_meta(delta: Path, meta: dict) -> bool:
 __all__ = [
     "MAGIC",
     "VERSION",
-    "VERSION_POSITIONAL",
-    "SUPPORTED_VERSIONS",
     "FLAG_CHECKSUMS",
     "FLAG_DELTA",
     "HEADER_STRUCT",

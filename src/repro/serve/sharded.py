@@ -205,7 +205,6 @@ class ShardedPatternStore(PatternSearchBase):
                     store._descendants_lock = self._descendants_lock
                     store._compile_cache = self._compile_cache
                     store._admissible_cache = self._admissible_cache
-                    store._accelerate = self._accelerate
                     store._plan_order = self._plan_order
                     store._plan_strategy = self._plan_strategy
                     # shards slice one shared PositionSpace build
@@ -367,15 +366,6 @@ class ShardedPatternStore(PatternSearchBase):
     # query-plan plumbing
     # ------------------------------------------------------------------
 
-    def set_accelerate(self, enabled: bool) -> None:
-        """Toggle compiled-plan execution on this handle and every
-        already-open shard (shards opened later inherit the setting)."""
-        self._accelerate = enabled
-        with self._open_lock:
-            for store in self._stores:
-                if store is not None:
-                    store._accelerate = enabled
-
     def set_planner(
         self, order: str = "cost", strategy: str | None = None
     ) -> None:
@@ -456,7 +446,6 @@ class ShardedPatternStore(PatternSearchBase):
                 "pruned": 0,
                 "scan": 0,
                 "wildcard": 0,
-                "legacy": 0,
             },
         }
         with self._open_lock:

@@ -55,10 +55,8 @@ from repro.serve.format import (
     MANIFEST_NAME,
     SECTIONS_STRUCT,
     SHARD_FILE_RE,
-    SUPPORTED_VERSIONS,
     U64,
     VERSION,
-    VERSION_POSITIONAL,
     shard_filename,
     shard_of,
     write_manifest,
@@ -196,35 +194,17 @@ class PatternWriter:
         spill_dir: str | Path | None = None,
         buffer_bytes: int = DEFAULT_SECTION_BUFFER,
         postings_buffer: int = DEFAULT_POSTINGS_BUFFER,
-        store_version: int = VERSION,
         delta: bool = False,
     ) -> None:
-        """``store_version`` pins the emitted format version.  The
-        default is always the current :data:`~repro.serve.format.VERSION`;
-        passing 1 writes a legacy index-only postings section — kept so
-        the back-compat tests can fabricate old-format stores without
-        archiving binary fixtures.
-
-        ``delta=True`` writes a signed delta store (header
+        """``delta=True`` writes a signed delta store (header
         :data:`~repro.serve.format.FLAG_DELTA`): every frequency is
         zigzag-coded and records may carry negative frequencies
         (decrements); zero-frequency records are rejected so a delta
         has exactly one canonical byte form."""
-        if store_version not in SUPPORTED_VERSIONS:
-            raise EncodingError(
-                f"unsupported store version {store_version!r} "
-                f"(supported: {SUPPORTED_VERSIONS})"
-            )
-        if delta and store_version < VERSION_POSITIONAL:
-            raise EncodingError(
-                "delta stores require the current store version"
-            )
         self._path = Path(path)
         self._vocabulary = vocabulary
         self._checksums = checksums
         self._delta = delta
-        self._store_version = store_version
-        self._positional = store_version >= VERSION_POSITIONAL
         spill = Path(spill_dir) if spill_dir is not None else self._path.parent
         self._spill_dir = spill
         self._buffer_bytes = buffer_bytes
@@ -412,8 +392,7 @@ class PatternWriter:
                     else:
                         write_uvarint(buf, idx - previous)
                     previous = idx
-                    if self._positional:
-                        write_positions(buf, pending[2])
+                    write_positions(buf, pending[2])
                     if len(buf) >= self._buffer_bytes:
                         postings.append(buf)
                         cursor += len(buf)
@@ -442,7 +421,7 @@ class PatternWriter:
             if self._delta:
                 flags |= FLAG_DELTA
             header = HEADER_STRUCT.pack(
-                self._store_version,
+                VERSION,
                 flags,
                 self._n_items,
                 self._count,
@@ -519,7 +498,6 @@ class _ShardStreamWriter:
         vocabulary: Vocabulary,
         checksums: bool = True,
         postings_buffer: int = DEFAULT_POSTINGS_BUFFER,
-        store_version: int = VERSION,
         delta: bool = False,
     ) -> None:
         self._vocabulary = vocabulary
@@ -536,7 +514,6 @@ class _ShardStreamWriter:
                         checksums=checksums,
                         spill_dir=directory,
                         postings_buffer=postings_buffer,
-                        store_version=store_version,
                         delta=delta,
                     )
                 )
@@ -580,7 +557,6 @@ class ShardedPatternWriter:
         shards: int,
         checksums: bool = True,
         postings_buffer: int = DEFAULT_POSTINGS_BUFFER,
-        store_version: int = VERSION,
         delta: bool = False,
     ) -> None:
         if shards < 1:
@@ -608,7 +584,6 @@ class ShardedPatternWriter:
                 vocabulary,
                 checksums=checksums,
                 postings_buffer=postings_buffer,
-                store_version=store_version,
                 delta=delta,
             )
         except BaseException:
@@ -680,7 +655,6 @@ def write_store(
     patterns: Mapping[Pattern, int],
     vocabulary: Vocabulary,
     checksums: bool = True,
-    store_version: int = VERSION,
     delta: bool = False,
 ) -> None:
     """Serialize coded patterns + vocabulary into a store file.
@@ -693,8 +667,7 @@ def write_store(
     invariant.
     """
     with PatternWriter(
-        path, vocabulary, checksums=checksums, store_version=store_version,
-        delta=delta,
+        path, vocabulary, checksums=checksums, delta=delta
     ) as writer:
         for pattern, frequency in rank_patterns(patterns):
             writer.write(pattern, frequency)
@@ -706,7 +679,6 @@ def write_sharded_store(
     vocabulary: Vocabulary,
     shards: int,
     checksums: bool = True,
-    store_version: int = VERSION,
 ) -> Path:
     """Write a sharded store: a directory of shard files plus a manifest.
 
@@ -716,8 +688,7 @@ def write_sharded_store(
     :class:`~repro.serve.store.PatternStore`.
     """
     with ShardedPatternWriter(
-        path, vocabulary, shards, checksums=checksums,
-        store_version=store_version,
+        path, vocabulary, shards, checksums=checksums
     ) as writer:
         for pattern, frequency in rank_patterns(patterns):
             writer.write(pattern, frequency)

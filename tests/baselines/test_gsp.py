@@ -5,7 +5,7 @@ import pytest
 from repro import GspAlgorithm, MiningParams, NaiveAlgorithm, mine
 from repro.baselines.gsp import (
     extend_sequence,
-    join_candidates,
+    gsp_join,
     matches_extended,
 )
 from repro.hierarchy import build_vocabulary
@@ -54,18 +54,18 @@ class TestMatchesExtended:
 
 class TestJoinCandidates:
     def test_pairs_from_singletons(self):
-        got = set(join_candidates([(1,), (2,)]))
+        got = set(gsp_join([(1,), (2,)]))
         assert got == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_prefix_suffix_overlap(self):
         frequent = [(1, 2), (2, 3)]
-        assert join_candidates(frequent) == [(1, 2, 3)]
+        assert gsp_join(frequent) == [(1, 2, 3)]
 
     def test_self_join_repetition(self):
-        assert (1, 1, 1) in join_candidates([(1, 1)])
+        assert (1, 1, 1) in gsp_join([(1, 1)])
 
     def test_no_join_without_overlap(self):
-        assert join_candidates([(1, 2), (3, 4)]) == []
+        assert gsp_join([(1, 2), (3, 4)]) == []
 
 
 class TestGspMining:

@@ -1,14 +1,14 @@
-"""Round-trip tests for the store's varint/zigzag/delta primitives."""
+"""Round-trip tests for the store's varint/zigzag/gap-coding primitives."""
 
 import pytest
 
 from repro.errors import EncodingError
 from repro.io.codec import (
-    read_deltas,
+    read_positional_postings,
     read_sequence,
     read_uvarint,
     section_checksum,
-    write_deltas,
+    write_positions,
     write_sequence,
     write_uvarint,
     zigzag_decode,
@@ -93,20 +93,30 @@ class TestSequence:
         assert len(buf) < len(raw)
 
 
-class TestDeltas:
+class TestPositionalPostings:
     @pytest.mark.parametrize(
-        "values", [[], [0], [7], [0, 1, 2], [3, 10, 1000, 10**6]]
+        "entries",
+        [[], [(0, (0,))], [(3, (1, 4)), (10, (0,)), (10**6, (2, 5, 9))]],
     )
-    def test_roundtrip(self, values):
+    def test_roundtrip(self, entries):
+        # one postings record as the store writer lays it out: the
+        # pattern index (first absolute, then gaps) before each
+        # entry's position list
         buf = bytearray()
-        write_deltas(buf, values)
-        assert read_deltas(bytes(buf), 0, len(buf)) == values
+        previous = 0
+        for i, (idx, positions) in enumerate(entries):
+            write_uvarint(buf, idx if i == 0 else idx - previous)
+            previous = idx
+            write_positions(buf, positions)
+        indexes, positions = read_positional_postings(bytes(buf), 0, len(buf))
+        assert indexes == [idx for idx, _ in entries]
+        assert positions == [pos for _, pos in entries]
 
-    def test_not_ascending_rejected(self):
+    def test_positions_not_ascending_rejected(self):
         with pytest.raises(EncodingError):
-            write_deltas(bytearray(), [3, 3])
+            write_positions(bytearray(), [3, 3])
         with pytest.raises(EncodingError):
-            write_deltas(bytearray(), [5, 2])
+            write_positions(bytearray(), [5, 2])
 
 
 class TestSectionChecksum:

@@ -5,19 +5,18 @@ databases and queries (drawn from all ten token kinds — item, ``^name``,
 ``?``, ``+``, ``*``, ``*{m,n}`` bounded gap, ``(a|b|^C)`` disjunction,
 ``!name`` / ``!^Cat`` negation (counted as two kinds: exact and
 subtree), ``token@N`` frequency floor — plus per-query σ overrides) are
-answered by five implementations that must agree byte for byte on the
+answered by four implementations that must agree byte for byte on the
 ranked ``(pattern, frequency)`` list:
 
-* a naive oracle — backtracking matcher over the raw pattern mapping,
-  no compiled form, no postings, no candidate pruning;
+* the naive oracle (:mod:`tests.property.oracle`) — backtracking
+  matcher over the raw pattern mapping, no compiled form, no postings,
+  no candidate pruning;
 * :class:`~repro.query.index.PatternIndex` — in-memory, inverted index,
   answered exactly by the compiled-plan bitmap engine;
 * :class:`~repro.serve.store.PatternStore` — single mmap'd store file
   with positional postings, same bitmap engine;
 * :class:`~repro.serve.sharded.ShardedPatternStore` — k-way heap merge
-  over shard files;
-* a fabricated **version-1** store file (no positional postings) —
-  exercises the accelerator's bitset-prune + DP-verify fallback.
+  over shard files.
 
 Queries are biased toward gap/adjacency-dense shapes (a third draw from
 a ``?``/``*{m,n}``-heavy pool) because position-window arithmetic is
@@ -60,7 +59,8 @@ from repro.query.tokens import (
     is_negation_only,
     normalize_query,
 )
-from repro.serve import QueryService, open_store, write_store
+from repro.serve import QueryService, open_store
+from tests.property.oracle import oracle_search
 
 SEED = int(os.environ.get("LASH_DIFF_SEED", "20260729"))
 N_INSTANCES = int(os.environ.get("LASH_DIFF_INSTANCES", "24"))
@@ -83,82 +83,6 @@ KINDS = (
     "notunder",
     "floor",
 )
-
-
-# ----------------------------------------------------------------------
-# the oracle: brute-force matching over the raw pattern mapping
-# ----------------------------------------------------------------------
-
-
-def _oracle_token_matches(token: QueryToken, item: int, vocab) -> bool:
-    """Does this single-item token admit the item?  Hierarchy facts come
-    from the *string-level* hierarchy, not the backends' id-level caches.
-    """
-    if isinstance(token, AnyToken):
-        return True
-    if isinstance(token, ItemToken):
-        return vocab.name(item) == token.name
-    if isinstance(token, UnderToken):
-        return token.name in vocab.hierarchy.ancestors_or_self(
-            vocab.name(item)
-        )
-    if isinstance(token, OneOfToken):
-        return any(
-            _oracle_token_matches(choice, item, vocab)
-            for choice in token.choices
-        )
-    if isinstance(token, NotToken):
-        return not _oracle_token_matches(token.inner, item, vocab)
-    if isinstance(token, FloorToken):
-        return vocab.frequency(item) >= token.floor and _oracle_token_matches(
-            token.inner, item, vocab
-        )
-    raise AssertionError(f"oracle cannot match {token!r}")
-
-
-def _oracle_match(tokens, pattern, vocab) -> bool:
-    """Backtracking recursion — deliberately nothing like the DP in
-    :meth:`PatternSearchBase._matches`."""
-
-    def rec(i: int, j: int) -> bool:
-        if i == len(tokens):
-            return j == len(pattern)
-        token = tokens[i]
-        if isinstance(token, SpanToken):
-            return any(rec(i + 1, k) for k in range(j, len(pattern) + 1))
-        if isinstance(token, PlusToken):
-            return any(rec(i + 1, k) for k in range(j + 1, len(pattern) + 1))
-        if isinstance(token, GapToken):
-            stop = (
-                len(pattern)
-                if token.max_items is None
-                else min(len(pattern), j + token.max_items)
-            )
-            return any(
-                rec(i + 1, k) for k in range(j + token.min_items, stop + 1)
-            )
-        return (
-            j < len(pattern)
-            and _oracle_token_matches(token, pattern[j], vocab)
-            and rec(i + 1, j + 1)
-        )
-
-    return rec(0, 0)
-
-
-def _oracle_search(patterns, vocab, tokens, min_freq=None):
-    """Ranked (decoded pattern, frequency) hits, most frequent first,
-    ties by coded pattern ascending — the shared index order, re-stated
-    here independently.  ``min_freq`` is the per-query σ override: a
-    plain filter here, a rank-prefix cut in the backends."""
-    hits = [
-        (coded, freq)
-        for coded, freq in patterns.items()
-        if (min_freq is None or freq >= min_freq)
-        and _oracle_match(tokens, coded, vocab)
-    ]
-    hits.sort(key=lambda record: (-record[1], record[0]))
-    return [(vocab.decode_sequence(coded), freq) for coded, freq in hits]
 
 
 # ----------------------------------------------------------------------
@@ -400,9 +324,7 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     sigma_cases = 0
     dense_cases = 0
     kinds_covered: set[str] = set()
-    paths_total = {
-        "exact": 0, "pruned": 0, "scan": 0, "wildcard": 0, "legacy": 0,
-    }
+    paths_total = {"exact": 0, "pruned": 0, "scan": 0, "wildcard": 0}
     for instance in range(N_INSTANCES):
         hierarchy = _random_hierarchy(rng)
         database = _random_database(rng, list(hierarchy.items))
@@ -419,18 +341,12 @@ def test_differential_oracle_vs_all_backends(tmp_path):
         result.to_store(single_path)
         sharded_path = tmp_path / f"i{instance}.shards"
         result.to_store(sharded_path, shards=rng.randint(2, 4))
-        # a version-1 file (no positional postings): the accelerator
-        # must fall back to bitset pruning + DP verification and still
-        # agree byte for byte
-        legacy_path = tmp_path / f"i{instance}.v1.store"
-        write_store(legacy_path, patterns, vocab, store_version=1)
 
         try:
             with open_store(single_path) as single, open_store(
                 sharded_path
-            ) as sharded, open_store(legacy_path) as legacy:
-                assert not legacy._has_positions(), "v1 store has positions?"
-                backends = [index, single, sharded, legacy]
+            ) as sharded:
+                backends = [index, single, sharded]
                 for q in range(QUERIES_PER_INSTANCE):
                     tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
                     kinds_covered |= _token_kinds(tokens)
@@ -444,7 +360,7 @@ def test_differential_oracle_vs_all_backends(tmp_path):
                     # the string syntax round-trips to the generated tokens
                     assert parse_query(rendered) == tokens, context
 
-                    expected = _oracle_search(patterns, vocab, tokens)
+                    expected = oracle_search(patterns, vocab, tokens)
                     for backend in backends:
                         got = [
                             (m.pattern, m.frequency)
@@ -459,7 +375,7 @@ def test_differential_oracle_vs_all_backends(tmp_path):
                     # backend must equal the oracle's plain filter
                     if rng.random() < 0.5:
                         min_freq = _random_min_freq(rng, patterns)
-                        floored = _oracle_search(
+                        floored = oracle_search(
                             patterns, vocab, tokens, min_freq=min_freq
                         )
                         for backend in backends:
@@ -504,8 +420,8 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     assert kinds_covered == set(KINDS), (
         f"token kinds never generated: {set(KINDS) - kinds_covered}"
     )
-    # the accelerator's fast paths actually ran: positional backends
-    # answered exactly (no DP), the v1 backend pruned with the bitset
+    # the accelerator's fast paths actually ran: chain queries were
+    # answered exactly (no DP) and pruned with the bitset
     assert paths_total["exact"] > 0, f"exact path never taken: {paths_total}"
     assert paths_total["pruned"] > 0, f"pruned path never taken: {paths_total}"
 
@@ -516,20 +432,13 @@ def test_planner_orderings_and_strategies_differential(tmp_path):
     For random mined instances, every combination of node ordering
     (``cost``/``cardinality``/``worst``) and forced execution strategy
     (``exact``/``pruned``/``scan`` plus estimate-driven ``None``) must
-    return the same ranked answers as the unaccelerated legacy matcher
-    — on the in-memory index, the positional store file, a fabricated
-    version-1 store, and the sharded store.  This is the guarantee that
+    return the same ranked answers as the naive oracle — on the
+    in-memory index, the store file, and the sharded store.  This is
+    the guarantee that
     lets admission control trust the estimate: the planner can only
     change *speed*, never answers.
     """
     from repro.query.cost import PLAN_ORDERS, PLAN_STRATEGIES
-
-    def set_accelerate(backend, enabled):
-        # only the sharded store has a propagating setter
-        if hasattr(backend, "set_accelerate"):
-            backend.set_accelerate(enabled)
-        else:
-            backend._accelerate = enabled
 
     rng = random.Random(SEED + 4)
     compared = 0
@@ -549,29 +458,13 @@ def test_planner_orderings_and_strategies_differential(tmp_path):
         result.to_store(single_path)
         sharded_path = tmp_path / f"p{instance}.shards"
         result.to_store(sharded_path, shards=rng.randint(2, 3))
-        legacy_path = tmp_path / f"p{instance}.v1.store"
-        write_store(legacy_path, patterns, vocab, store_version=1)
         with open_store(single_path) as single, open_store(
             sharded_path
-        ) as sharded, open_store(legacy_path) as legacy:
-            backends = [index, single, sharded, legacy]
+        ) as sharded:
+            backends = [index, single, sharded]
             for q in range(QUERIES_PER_INSTANCE):
                 tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
-                reference = None
-                for backend in backends:
-                    set_accelerate(backend, False)
-                    got = [
-                        (m.pattern, m.frequency)
-                        for m in backend.search(tokens)
-                    ]
-                    set_accelerate(backend, True)
-                    if reference is None:
-                        reference = got
-                    assert got == reference, (
-                        f"seed={SEED + 4} instance={instance} "
-                        f"query={_render_query(tokens)!r} legacy path "
-                        f"disagrees on {type(backend).__name__}"
-                    )
+                reference = oracle_search(patterns, vocab, tokens)
                 for order in PLAN_ORDERS:
                     for strategy in (None, *PLAN_STRATEGIES):
                         for backend in backends:
@@ -588,7 +481,7 @@ def test_planner_orderings_and_strategies_differential(tmp_path):
                                 f"query={_render_query(tokens)!r} "
                                 f"order={order} strategy={strategy} "
                                 f"backend={type(backend).__name__}: "
-                                f"{got!r} != legacy {reference!r}"
+                                f"{got!r} != oracle {reference!r}"
                             )
                             compared += 1
                 for backend in backends:
@@ -606,10 +499,10 @@ def test_plan_pruning_is_superset_of_matches(tmp_path):
     For random queries over random mined instances, the candidate set
     the compiled plan admits (bitset AND of the chain nodes' postings,
     or the wildcard length scan) must be a **superset** of the indexes
-    the reference DP accepts — on the positional in-memory index, the
-    positional store file, and a fabricated version-1 store.  This is
-    the safety property behind the verified fallback: pruning may
-    over-admit (the DP cleans up), it must never under-admit.
+    the DP matcher accepts — on the in-memory index and the store file.
+    This is the safety property behind the verified strategies:
+    pruning may over-admit (the DP cleans up), it must never
+    under-admit.
     """
     rng = random.Random(SEED + 1)
     checked = 0
@@ -626,14 +519,10 @@ def test_plan_pruning_is_superset_of_matches(tmp_path):
         index = PatternIndex(patterns, vocab)
         single_path = tmp_path / f"s{instance}.store"
         result.to_store(single_path)
-        legacy_path = tmp_path / f"s{instance}.v1.store"
-        write_store(legacy_path, patterns, vocab, store_version=1)
-        with open_store(single_path) as single, open_store(
-            legacy_path
-        ) as legacy:
+        with open_store(single_path) as single:
             for q in range(QUERIES_PER_INSTANCE):
                 tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
-                for backend in (index, single, legacy):
+                for backend in (index, single):
                     compiled = backend._compile(normalize_query(tokens))
                     admitted = backend._plan_candidate_indexes(compiled)
                     true_matches = {

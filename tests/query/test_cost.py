@@ -116,21 +116,23 @@ class TestEstimatorDecisions:
         assert estimate.strategy == "unsatisfiable"
         assert estimate.candidates == 0
 
-    def test_negation_only_chain_scans_without_positions(self, tmp_path):
+    def test_negation_only_chain_never_priced_pruned(self, tmp_path):
         hierarchy = Hierarchy()
         for name in ("a", "b"):
             hierarchy.add_item(name)
         coded, vocab = code_patterns(
             {("a", "b"): 3, ("b", "b"): 2, ("a",): 1}, hierarchy
         )
-        path = tmp_path / "v1.store"
-        write_store(path, coded, vocab, store_version=1)
-        with open_store(path) as legacy:
-            assert not legacy._has_positions()
-            # no "in" node to build a mask from → the length scan is
-            # the only option, and the estimate says so
-            estimate = legacy.estimate_cost("!a ?")
-            assert estimate.strategy == "scan"
+        path = tmp_path / "v2.store"
+        write_store(path, coded, vocab)
+        with open_store(path) as store:
+            # no "in" node to build a mask from: pruning has nothing to
+            # intersect, so the estimate never offers it
+            for order in PLAN_ORDERS:
+                store.set_planner(order)
+                for query in ("!a ?", "!a !b", "? !b *"):
+                    estimate = store.estimate_cost(query)
+                    assert estimate.strategy in ("exact", "scan"), query
 
     def test_costs_rank_narrow_below_broad(self, skewed_index):
         narrow = skewed_index.estimate_cost("rare").cost

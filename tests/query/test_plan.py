@@ -1,10 +1,10 @@
 """Unit tests for the compiled-query-plan engine (:mod:`repro.query.plan`).
 
-The differential harness proves the accelerated engine agrees with the
-reference DP end to end; this file pins down the pieces — the position
+The differential harness proves the compiled engine agrees with the
+naive oracle end to end; this file pins down the pieces — the position
 bitmap geometry, window shift algebra, plan structure, per-backend plan
-cache, hierarchy-aware disjunction hoisting, and the version-1 store
-fallback + compaction migration path.
+cache, hierarchy-aware disjunction hoisting, and the version-2-only
+store contract.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from repro import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.query.plan import PositionSpace, QueryPlan, iter_bit_indexes
 from repro.query.tokens import normalize_query
-from repro.serve import (
-    StoreCompactor,
-    open_store,
-    write_sharded_store,
-    write_store,
-)
-from repro.serve.format import VERSION, VERSION_POSITIONAL
+from repro.errors import EncodingError
+from repro.serve import open_store, write_sharded_store, write_store
+from repro.serve.format import HEADER_STRUCT, MAGIC
+from tests.property.oracle import oracle_search
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +244,7 @@ class TestDisjunctionHoisting:
 
 
 # ----------------------------------------------------------------------
-# accelerated vs reference DP on every path
+# compiled plans vs the naive oracle on every path
 # ----------------------------------------------------------------------
 
 QUERIES = (
@@ -268,87 +265,91 @@ QUERIES = (
 )
 
 
+def _oracle_answers(index, query):
+    """The naive oracle's ranked answer, in :func:`_answers` form."""
+    return [
+        (" ".join(pattern), frequency)
+        for pattern, frequency in oracle_search(
+            index._frequencies, index.vocabulary, normalize_query(query)
+        )
+    ]
+
+
 class TestAcceleratedEqualsReference:
     @pytest.mark.parametrize("query", QUERIES)
     def test_index_paths_agree(self, small_index, query):
-        accelerated = _answers(small_index, query)
-        small_index._accelerate = False
-        try:
-            reference = _answers(small_index, query)
-        finally:
-            small_index._accelerate = True
-        assert accelerated == reference
+        assert _answers(small_index, query) == _oracle_answers(
+            small_index, query
+        )
 
-    def test_store_set_accelerate_toggle(self, small_index, tmp_path):
-        path = tmp_path / "toggle.shards"
+    def test_sharded_store_agrees_with_oracle(self, small_index, tmp_path):
+        path = tmp_path / "oracle.shards"
         write_sharded_store(
             path, small_index._frequencies, small_index.vocabulary, shards=2
         )
         with open_store(path) as store:
-            accelerated = {q: _answers(store, q) for q in QUERIES}
-            store.set_accelerate(False)
-            reference = {q: _answers(store, q) for q in QUERIES}
-            assert accelerated == reference
+            for query in QUERIES:
+                assert _answers(store, query) == _oracle_answers(
+                    small_index, query
+                ), query
             # the sharded handle aggregates its shards' counters
             assert store.plan_stats()["paths"]["exact"] > 0
 
+    def test_forced_pruned_without_mask_runs_as_scan(self, small_index):
+        # an all-negative chain builds no candidate mask, so a forced
+        # "pruned" plan runs the length scan + DP instead
+        small_index.set_planner("cost", "pruned")
+        try:
+            before = small_index.plan_stats()["paths"]
+            got = _answers(small_index, "!a ?")
+            after = small_index.plan_stats()["paths"]
+        finally:
+            small_index.set_planner()
+        assert got == _oracle_answers(small_index, "!a ?")
+        assert after["scan"] == before["scan"] + 1
+        assert after["pruned"] == before["pruned"]
+
 
 # ----------------------------------------------------------------------
-# version-1 stores: fallback + migration
+# one store format: version 2 only
 # ----------------------------------------------------------------------
 
 
-class TestVersionOneStores:
-    def test_v1_opens_without_positions(self, small_index, tmp_path):
-        path = tmp_path / "legacy.store"
-        write_store(
-            path,
-            small_index._frequencies,
-            small_index.vocabulary,
-            store_version=1,
+class TestStoreVersion:
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_other_versions_rejected(self, small_index, tmp_path, version):
+        path = tmp_path / f"v{version}.store"
+        write_store(path, small_index._frequencies, small_index.vocabulary)
+        data = bytearray(path.read_bytes())
+        HEADER_STRUCT.pack_into(
+            data,
+            len(MAGIC),
+            version,
+            *HEADER_STRUCT.unpack_from(data, len(MAGIC))[1:],
         )
-        with open_store(path) as store:
-            info = store.describe()
-            assert info["version"] == 1
-            assert info["positional"] is False
-            assert not store._has_positions()
-            assert store._positional_postings_for(0) is None
-            for query in QUERIES:
-                assert _answers(store, query) == _answers(small_index, query)
-            # concrete-token queries went through bitset prune + DP
-            assert store.plan_stats()["paths"]["pruned"] > 0
-            assert store.plan_stats()["paths"]["exact"] == 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(EncodingError) as excinfo:
+            open_store(path)
+        message = str(excinfo.value)
+        assert f"version {version}" in message
+        assert "lash index build" in message
 
-    def test_compact_migrates_v1_to_current(self, small_index, tmp_path):
-        path = tmp_path / "legacy.shards"
+    def test_no_legacy_surface(self, small_index, tmp_path):
+        path = tmp_path / "surface.store"
+        write_store(path, small_index._frequencies, small_index.vocabulary)
+        sharded_path = tmp_path / "surface.shards"
         write_sharded_store(
-            path,
+            sharded_path,
             small_index._frequencies,
             small_index.vocabulary,
             shards=2,
-            store_version=1,
         )
-        with open_store(path) as store:
+        with open_store(path) as single, open_store(sharded_path) as sharded:
+            for backend in (small_index, single, sharded):
+                backend.search("a ?")
+                assert "legacy" not in backend.plan_stats()["paths"]
+            assert "positional" not in single.describe()
             assert all(
-                s["version"] == 1 for s in store.describe()["shard_stats"]
-            )
-        # a delta-less compaction rewrites every shard at the current
-        # format version — the documented migration path
-        StoreCompactor(path).compact([])
-        with open_store(path) as store:
-            shard_stats = store.describe()["shard_stats"]
-            assert all(s["version"] == VERSION for s in shard_stats)
-            assert all(s["positional"] for s in shard_stats)
-            assert VERSION >= VERSION_POSITIONAL
-            for query in QUERIES:
-                assert _answers(store, query) == _answers(small_index, query)
-            assert store.plan_stats()["paths"]["exact"] > 0
-
-    def test_writer_rejects_unknown_version(self, small_index, tmp_path):
-        with pytest.raises(Exception):
-            write_store(
-                tmp_path / "bad.store",
-                small_index._frequencies,
-                small_index.vocabulary,
-                store_version=99,
+                "positional" not in shard
+                for shard in sharded.describe()["shard_stats"]
             )

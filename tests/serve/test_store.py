@@ -220,6 +220,26 @@ class TestChecksums:
         store = PatternStore.open(path, verify_checksums=False)
         store.close()
 
+    def test_lookups_surface_vocabulary_corruption(
+        self, fig1_result, tmp_path
+    ):
+        """A damaged vocabulary section opened without verification must
+        fail ``frequency`` and ``in`` loudly, exactly like ``search`` —
+        not pass for an absent pattern."""
+        path = tmp_path / "rot.store"
+        write_store(path, fig1_result.patterns, fig1_result.vocabulary)
+        data = bytearray(path.read_bytes())
+        # ten continuation bytes: the first name-length varint overflows
+        data[HEADER_SIZE:HEADER_SIZE + 10] = b"\xff" * 10
+        path.write_bytes(bytes(data))
+        with PatternStore.open(path, verify_checksums=False) as store:
+            with pytest.raises(EncodingError):
+                store.search("a")
+            with pytest.raises(EncodingError):
+                store.frequency("a", "B")
+            with pytest.raises(EncodingError):
+                ("a", "B") in store
+
     def test_unchecksummed_store_opens_without_validation(
         self, fig1_result, tmp_path
     ):
